@@ -59,7 +59,7 @@ from .client import RetriableServiceError, ServiceClient
 from .lifecycle import DrainReport, ServiceLifecycle
 from .ring import DEFAULT_VNODES, HashRing, RingEmpty
 from .server import (BadRequest, REQUEST_OPTION_KEYS, _STATUS_BY_CODE,
-                     parse_generate_body)
+                     parse_generate_body, read_request_body)
 from .worker import WorkerEndpoint
 
 _REQUESTS = METRICS.counter("router.requests")
@@ -479,6 +479,8 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-router/1"
+    #: no delayed-ACK stall on small replies (see the worker handler)
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         pass
@@ -509,11 +511,10 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
         if path != "/v1/generate":
             self._send_error(404, "not-found", f"no route for {path}")
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length)
         content_type = self.headers.get("Content-Type") \
             or "text/plain"
         try:
+            body = read_request_body(self)
             sources, overrides = parse_generate_body(body, content_type)
         except BadRequest as exc:
             self._send_error(400, "bad-request", str(exc))

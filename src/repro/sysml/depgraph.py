@@ -29,7 +29,7 @@ loads of the same sources.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..fingerprint import DEPS_SALT, NODE_SALT, fingerprint
 from .elements import (Alias, Assignment, BindingConnector, Connector,
@@ -65,17 +65,19 @@ class NodeKey:
 ROOT_KEY = NodeKey("Model", "")
 
 
-def _segment(element: Element) -> str:
+def _segment(element: Element, ordinal: int | None = None) -> str:
     """One path segment — syntactic, so it is identical before and
     after resolution (``:>> ip = ...`` contributes ``ip`` even while
-    its resolver-assigned name is still unset)."""
+    its resolver-assigned name is still unset). Pass *ordinal* when
+    the caller already knows the element's position among its
+    siblings (``local_ordinal`` scans the sibling list)."""
     name = element.name
     if name is None and isinstance(element, RedefinitionUsage) \
             and element.redefinition_names:
         name = element.redefinition_names[0].parts[-1]
     if name:
         return name
-    return f"#{element.local_ordinal}"
+    return f"#{element.local_ordinal if ordinal is None else ordinal}"
 
 
 def node_path(element: Element) -> str:
@@ -245,18 +247,6 @@ def scope_fingerprint(element: Element) -> str:
     return fp
 
 
-def clear_fingerprints(element: Element, *, ancestors: bool = True) -> None:
-    """Drop cached fingerprints of *element* (and its ancestor chain,
-    whose Merkle hashes embed it)."""
-    node: Element | None = element
-    while node is not None:
-        node.__dict__.pop(_DEEP_ATTR, None)
-        node.__dict__.pop(_SCOPE_ATTR, None)
-        if not ancestors:
-            return
-        node = node.owner
-
-
 def find_by_path(model: Model, path: str) -> Element | None:
     """Resolve a :func:`node_path` back to its element (None if gone)."""
     if not path:
@@ -264,8 +254,8 @@ def find_by_path(model: Model, path: str) -> Element | None:
     scope: Element = model
     for part in path.split("::"):
         found = None
-        for child in scope.owned_elements:
-            if _segment(child) == part:
+        for ordinal, child in enumerate(scope.owned_elements):
+            if _segment(child, ordinal) == part:
                 found = child
                 break
         if found is None:
@@ -274,46 +264,234 @@ def find_by_path(model: Model, path: str) -> Element | None:
     return scope
 
 
+def elements_at_paths(model: Model, paths: Iterable[str]
+                      ) -> list[Element]:
+    """Every element whose :func:`node_path` is one of *paths*, in
+    model pre-order.
+
+    Unlike :func:`find_by_path` this finds *all* holders of a path
+    (hostile corpora repeat names) and does not assume a segment is
+    free of ``::`` (quoted names may contain it): a path that splits
+    more than one way is followed down every way. The descent only
+    enters elements on the way to a wanted path, so it costs the
+    sibling lists along those ways, not the model.
+    """
+    found: list[Element] = []
+
+    def descend(scope: Element, wanted: list[str]) -> None:
+        # bucket the remaining paths by their first naive part: a
+        # segment can only prefix a path that starts the same way
+        buckets: dict[str, list[str]] = {}
+        for rest in wanted:
+            buckets.setdefault(rest.split("::", 1)[0], []).append(rest)
+        for ordinal, child in enumerate(scope.owned_elements):
+            segment = _segment(child, ordinal)
+            candidates = buckets.get(segment.split("::", 1)[0])
+            if not candidates:
+                continue
+            prefix = segment + "::"
+            deeper = [rest[len(prefix):] for rest in candidates
+                      if rest.startswith(prefix)]
+            if segment in candidates:
+                found.append(child)
+            if deeper:
+                descend(child, deeper)
+
+    wanted = sorted({path for path in paths if path})
+    if wanted:
+        descend(model, wanted)
+    return found
+
+
 # -- the per-model index -----------------------------------------------------
 
+def _indexed(element: Element) -> bool:
+    """Whether :meth:`NodeIndex.of_model` files *element* under its key
+    (anchors in ``deep``, namespaces in ``scope``)."""
+    return is_anchor(element) or isinstance(element, Namespace)
+
+
 class NodeIndex:
-    """Snapshot of every anchor's deep hash and every namespace's scope
-    hash, for one resolved model state."""
+    """Every anchor's deep hash and every namespace's scope hash, for
+    one model state.
+
+    :meth:`of_model` builds it cold; :meth:`refresh` brings it up to
+    date in place after an incremental merge, at a cost proportional to
+    what the merge touched. When several elements share a key (hostile
+    corpora repeat names) the one last in model pre-order wins, exactly
+    as a cold build's overwriting pass leaves it.
+    """
 
     def __init__(self) -> None:
         #: anchor key -> deep (Merkle) fingerprint
         self.deep: dict[NodeKey, str] = {}
         #: namespace key -> scope fingerprint (includes :data:`ROOT_KEY`)
         self.scope: dict[NodeKey, str] = {}
+        #: keys held by more than one indexed element; a refresh looks
+        #: their holders up by path instead of trusting one visit
+        self.shared: set[NodeKey] = set()
 
     @classmethod
     def of_model(cls, model: Model) -> "NodeIndex":
         index = cls()
         index.scope[ROOT_KEY] = scope_fingerprint(model)
+        filed = [0, 0]  # anchors, namespaces
 
         def visit(element: Element) -> None:
             if is_anchor(element):
+                filed[0] += 1
                 index.deep[node_key(element)] = deep_fingerprint(element)
             if isinstance(element, Namespace):
+                filed[1] += 1
                 index.scope[node_key(element)] = scope_fingerprint(element)
             for child in element.owned_elements:
                 visit(child)
 
         for child in model.owned_elements:
             visit(child)
+        # holders of one key share a class, so they are all namespaces
+        # or all (non-namespace) anchors: a shared key shows up as a
+        # count above its table's size
+        if filed[0] > len(index.deep) or filed[1] > len(index.scope) - 1:
+            index.shared = _shared_keys(model)
         return index
 
-    def changed_since(self, previous: "NodeIndex"
+    def changed_since(self, previous: "NodeIndex",
+                      keys: Iterable[NodeKey] | None = None
                       ) -> tuple[set[NodeKey], set[NodeKey]]:
         """Keys whose deep / scope hash differs from *previous* —
-        including keys present on only one side (added or removed)."""
-        deep_changed = {key for key in self.deep.keys()
-                        | previous.deep.keys()
+        including keys present on only one side (added or removed).
+
+        With *keys*, only those are compared (and *previous* need hold
+        no others): the diff after a :meth:`refresh`, which returns the
+        touched keys and their former entries.
+        """
+        if keys is None:
+            deep_keys = self.deep.keys() | previous.deep.keys()
+            scope_keys = self.scope.keys() | previous.scope.keys()
+        else:
+            deep_keys = scope_keys = set(keys)
+        deep_changed = {key for key in deep_keys
                         if self.deep.get(key) != previous.deep.get(key)}
-        scope_changed = {key for key in self.scope.keys()
-                         | previous.scope.keys()
+        scope_changed = {key for key in scope_keys
                          if self.scope.get(key) != previous.scope.get(key)}
         return deep_changed, scope_changed
+
+    def refresh(self, model: Model, stale: list[Element],
+                freed: set[NodeKey]) -> tuple["NodeIndex", set[NodeKey]]:
+        """Update the index in place after an in-place edit of *model*.
+
+        *stale* lists the elements whose cached fingerprints or keys the
+        edit dropped (:func:`stale_elements`); *freed* holds the old
+        keys of elements that left the model or were re-keyed. Nothing
+        else is visited. Returns ``(before, touched)``: the touched keys
+        and a partial index of their former entries (``shared`` included),
+        ready for :meth:`changed_since`.
+        """
+        holders: dict[NodeKey, list[Element]] = {}
+        # a holder that had no cached key is new to its key (fresh or
+        # re-keyed); read this before node_key() below caches one
+        fresh: set[NodeKey] = set()
+        for element in stale:
+            if _indexed(element):
+                had_key = _KEY_ATTR in element.__dict__
+                key = node_key(element)
+                holders.setdefault(key, []).append(element)
+                if not had_key:
+                    fresh.add(key)
+
+        touched = set(holders) | freed | {ROOT_KEY}
+        before = NodeIndex()
+        for key in touched:
+            if key in self.deep:
+                before.deep[key] = self.deep[key]
+            if key in self.scope:
+                before.scope[key] = self.scope[key]
+        before.shared = self.shared & touched
+        self.scope[ROOT_KEY] = scope_fingerprint(model)
+
+        searched: set[NodeKey] = set()
+        for key in touched - {ROOT_KEY}:
+            found = holders.get(key, [])
+            # another holder may exist that this edit did not visit: the
+            # key was shared, or is new to a fresh element although an
+            # old holder kept it
+            if key in self.shared or len(found) > 1 \
+                    or (key in fresh and key not in freed
+                        and (key in before.deep or key in before.scope)):
+                searched.add(key)
+            else:
+                self._file(key, found)
+        if searched:
+            found_by_key: dict[NodeKey, list[Element]] = {
+                key: [] for key in searched}
+            for element in elements_at_paths(
+                    model, {key.path for key in searched}):
+                if _indexed(element) and node_key(element) in searched:
+                    found_by_key[node_key(element)].append(element)
+            for key, found in found_by_key.items():
+                self._file(key, found)
+        return before, touched
+
+    def _file(self, key: NodeKey, elements: list[Element]) -> None:
+        """Set *key*'s entries from its live holders, in pre-order."""
+        anchors = [element for element in elements if is_anchor(element)]
+        spaces = [element for element in elements
+                  if isinstance(element, Namespace)]
+        if anchors:
+            self.deep[key] = deep_fingerprint(anchors[-1])
+        else:
+            self.deep.pop(key, None)
+        if spaces:
+            self.scope[key] = scope_fingerprint(spaces[-1])
+        else:
+            self.scope.pop(key, None)
+        if len(elements) > 1:
+            self.shared.add(key)
+        else:
+            self.shared.discard(key)
+
+
+def _shared_keys(model: Model) -> set[NodeKey]:
+    """Keys held by more than one indexed element of *model*."""
+    seen: set[NodeKey] = set()
+    shared: set[NodeKey] = set()
+    stack = list(model.owned_elements)
+    while stack:
+        element = stack.pop()
+        if _indexed(element):
+            key = node_key(element)
+            if key in seen:
+                shared.add(key)
+            seen.add(key)
+        stack.extend(element.owned_elements)
+    return shared
+
+
+def stale_elements(changed: Iterable[Element]) -> list[Element]:
+    """What an in-place edit left for :meth:`NodeIndex.refresh` to
+    re-visit: the *changed* elements (edited, added, re-keyed, or with
+    a changed member list), their ancestors (whose Merkle hashes embed
+    them) and every descendant missing a cached deep fingerprint or
+    key. Call it before anything computes a fingerprint: that would
+    refill the children's caches and hide them."""
+    stale: dict[int, Element] = {}
+    stack: list[Element] = []
+    for element in changed:
+        node: Element | None = element
+        while node is not None and not isinstance(node, Model) \
+                and id(node) not in stale:
+            stale[id(node)] = node
+            node = node.owner
+        stack.append(element)
+    while stack:
+        for child in stack.pop().owned_elements:
+            cached = child.__dict__
+            if (_DEEP_ATTR not in cached or _KEY_ATTR not in cached) \
+                    and id(child) not in stale:
+                stale[id(child)] = child
+                stack.append(child)
+    return list(stale.values())
 
 
 # -- the dependency graph ----------------------------------------------------
@@ -482,12 +660,23 @@ def node_dependency_fingerprints(model: Model, graph: DepGraph,
     pairs = sorted((str(key), index.deep.get(key, "")) for key in external)
     return node_fp, fingerprint(pairs, salt=DEPS_SALT)
 
+
 def elements_anchored_in(model: Model, dirty: set[NodeKey]
                          ) -> list[Element]:
     """Pre-order list of every element whose nearest anchor is dirty.
 
     A clean anchor nested inside a dirty one keeps its subtree out of
-    the list (its own resolution state is still valid)."""
+    the list (its own resolution state is still valid). The order is
+    the model's pre-order — the resolver's order on a cold load — but
+    the walk starts from the dirty anchors, found by path: it enters
+    only their ancestors and their dirty subtrees.
+    """
+    guide: set[int] = set()
+    for holder in elements_at_paths(model, {key.path for key in dirty}):
+        node = holder.owner
+        while node is not None and id(node) not in guide:
+            guide.add(id(node))
+            node = node.owner
     collected: list[Element] = []
 
     def visit(element: Element, inside_dirty: bool) -> None:
@@ -495,24 +684,11 @@ def elements_anchored_in(model: Model, dirty: set[NodeKey]
             inside_dirty = node_key(element) in dirty
         if inside_dirty:
             collected.append(element)
-        for child in element.owned_elements:
-            visit(child, inside_dirty)
+        if inside_dirty or id(element) in guide:
+            for child in element.owned_elements:
+                visit(child, inside_dirty)
 
-    for child in model.owned_elements:
-        visit(child, False)
+    if id(model) in guide:
+        for child in model.owned_elements:
+            visit(child, False)
     return collected
-
-
-def iter_with_anchor(model: Model) -> Iterator[tuple[Element, NodeKey]]:
-    """Every element with its anchor key, in pre-order."""
-
-    def visit(element: Element, anchor: NodeKey
-              ) -> Iterator[tuple[Element, NodeKey]]:
-        if is_anchor(element):
-            anchor = node_key(element)
-        yield element, anchor
-        for child in element.owned_elements:
-            yield from visit(child, anchor)
-
-    for child in model.owned_elements:
-        yield from visit(child, ROOT_KEY)

@@ -3,40 +3,54 @@
 A :class:`ModelSession` holds one resolved model plus the bookkeeping
 needed to absorb source edits without a cold reload:
 
-1. per-source text fingerprints decide which sources even need
-   reparsing (the parse cache absorbs repeats of previously-seen text);
+1. per-source text fingerprints decide which sources changed, and a
+   token comparison with the previous text decides which of those even
+   need reparsing — a comment or layout edit does not (the parse cache
+   absorbs repeats of previously-seen text);
 2. changed sources are rebuilt into throwaway element fragments and
    **merged** into the live model — elements whose subtree fingerprint
    is unchanged are *kept by identity*, so resolved references from the
    rest of the model stay valid;
 3. the per-node fingerprint index (:class:`~.depgraph.NodeIndex`) is
-   recomputed (Merkle caches make this cheap) and diffed against the
-   previous state — the diff plus the recorded dependency graph yields
-   the **dirty anchor set**;
+   **refreshed** in place: the merge dropped the cached fingerprints
+   of every changed element and its ancestors, and the keys of every
+   element whose path moved, so only those elements are re-visited and
+   only their keys (plus the keys of dropped subtrees) are diffed
+   against their former entries — the diff plus the recorded
+   dependency graph yields the **dirty anchor set**;
 4. only elements anchored in dirty subtrees get their resolved state
-   cleared and re-resolved (:meth:`Resolver.resolve_only`); a fixpoint
-   loop catches second-order effects (an element whose *resolution*
-   changed without its syntax changing — e.g. through new shadowing —
+   cleared and re-resolved (:meth:`Resolver.resolve_only`), collected
+   by a walk that starts from the dirty anchors; a fixpoint loop
+   catches second-order effects (an element whose *resolution* changed
+   without its syntax changing — e.g. through new shadowing —
    re-dirties its consumers).
+
+An edit therefore costs what it touches: the edited subtrees, their
+ancestor chains and the dirty anchors, never a pass over the model.
 
 Any failure mid-update falls back to a cold rebuild, so the session is
 never left half-merged; if the *cold* rebuild also fails the error
-propagates exactly as a fresh :func:`load_model` would have raised it.
+propagates exactly as a fresh :func:`load_model` would have raised it,
+after the session has reloaded the last good revision whenever the
+failed update had already merged into the live model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from ..fingerprint import fingerprint
 from ..obs import span as _span
 from .builder import ModelBuilder
 from .depgraph import (NodeIndex, NodeKey, _name_of, anchor_key,
-                       deep_fingerprint, elements_anchored_in, node_key,
-                       own_signature, DepGraph, DepRecorder)
+                       deep_fingerprint, elements_anchored_in, is_anchor,
+                       node_key, own_signature, stale_elements, DepGraph,
+                       DepRecorder)
 from .elements import (Alias, Assignment, BindingConnector, Connector,
                        Element, Import, Model, Package, PerformAction,
                        RedefinitionUsage, Type, Usage)
+from .lexer import iter_tokens
 from .resolver import Resolver, _parse_sources, model_fingerprint
 
 _DEEP_ATTR = "_repro_deep_fp"
@@ -77,6 +91,8 @@ class ModelUpdate:
     semantic_anchors: frozenset = frozenset()
     #: Elements whose references were re-resolved (over all rounds).
     reresolved_elements: int = 0
+    #: Elements the node-index refresh re-visited (re-fingerprinted).
+    reindexed_elements: int = 0
     #: Semantic-propagation rounds it took to converge (0 = no dirt).
     rounds: int = 0
     #: True when the update was applied as a cold rebuild instead
@@ -96,6 +112,17 @@ class ModelUpdate:
         edited, removed, or semantically re-resolved differently."""
         return self.edited_anchors | self.semantic_anchors \
             | self.removed_anchors
+
+
+def _same_tokens(old: str, new: str) -> bool:
+    """Whether two source texts lex to the same token kinds and values
+    (stopping at the first difference, so an edit near the top of a
+    large file costs a few tokens)."""
+    for before, after in zip_longest(iter_tokens(old), iter_tokens(new)):
+        if before is None or after is None or before.kind != after.kind \
+                or before.value != after.value:
+            return False
+    return True
 
 
 def clear_resolved_state(element: Element) -> None:
@@ -167,13 +194,6 @@ def _match_key(element: Element) -> tuple | None:
     return (type(element).__name__, name)
 
 
-def _clear_keys_deep(element: Element) -> None:
-    element.__dict__.pop(_KEY_ATTR, None)
-    element.__dict__.pop(_ANCHOR_ATTR, None)
-    for child in element.owned_elements:
-        _clear_keys_deep(child)
-
-
 _HEAD_FIELDS = {
     Package: ("is_library",),
     Import: ("target_name", "wildcard", "recursive"),
@@ -211,6 +231,56 @@ class _Merger:
         #: elements, newly-taken subtrees, and parents whose member
         #: list changed. Their anchors form ``edited_anchors``.
         self.changed: list[Element] = []
+        #: Newly-taken subtrees: fresh, never-resolved objects.
+        self.taken: list[Element] = []
+        #: Kept subtrees whose path may have moved (anonymous elements
+        #: whose ``#ordinal`` segment shifted); their keys were reset.
+        self.rekeyed: list[Element] = []
+        #: Old keys of the re-keyed subtrees, captured before clearing.
+        self.rekeyed_keys: set[NodeKey] = set()
+
+    def clear_keys(self, element: Element) -> None:
+        """Reset the cached keys of *element*'s subtree (recomputed
+        lazily from its new position), remembering the old ones."""
+        self.rekeyed.append(element)
+        stack = [element]
+        while stack:
+            node = stack.pop()
+            key = node.__dict__.pop(_KEY_ATTR, None)
+            if key is not None:
+                self.rekeyed_keys.add(key)
+            node.__dict__.pop(_ANCHOR_ATTR, None)
+            stack.extend(node.owned_elements)
+
+    def taken_anchors(self) -> set[NodeKey]:
+        """Every anchor a newly-taken subtree lies in or holds. Their
+        elements are new objects that must be resolved even where an
+        old twin left the same key and fingerprint (a definition moved
+        to another file), and whoever resolved to that twin must be
+        re-resolved onto the new object."""
+        keys: set[NodeKey] = set()
+        for root in self.taken:
+            keys.add(anchor_key(root))
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                if is_anchor(node):
+                    keys.add(node_key(node))
+                stack.extend(node.owned_elements)
+        return keys
+
+    def freed_keys(self) -> set[NodeKey]:
+        """Every key this merge took away from an element: the keys of
+        dropped subtrees and the old keys of re-keyed ones."""
+        freed = set(self.rekeyed_keys)
+        stack = list(self.dropped)
+        while stack:
+            node = stack.pop()
+            key = node.__dict__.get(_KEY_ATTR)
+            if key is not None:
+                freed.add(key)
+            stack.extend(node.owned_elements)
+        return freed
 
     def merge_lists(self, old_list: list[Element], new_list: list[Element],
                     parent: Element) -> tuple[list[Element], bool, bool]:
@@ -245,6 +315,7 @@ class _Merger:
             new.owner = parent
             merged.append(new)
             self.changed.append(new)
+            self.taken.append(new)
             any_changed = True
 
         for leftovers in named.values():
@@ -261,7 +332,7 @@ class _Merger:
             # children may have shifted — recompute their keys lazily
             for kept in merged:
                 if _match_key(kept) is None:
-                    _clear_keys_deep(kept)
+                    self.clear_keys(kept)
         return merged, list_changed, any_changed
 
     def merge_element(self, old: Element, new: Element) -> bool:
@@ -311,6 +382,9 @@ class ModelSession:
         self._names: list[str] = []
         self._source_fps: list[str] = []
         self._slice_counts: list[int] = []
+        #: Set while an update merges into the live model, so a failed
+        #: update knows whether the model still matches its sources.
+        self._half_merged = False
         self._load_cold(list(texts), list(filenames or []))
 
     # -- cold path -----------------------------------------------------------
@@ -360,6 +434,7 @@ class ModelSession:
         self._source_fps = [fingerprint(text, salt=_SOURCE_SALT)
                             for text in sources]
         self._slice_counts = counts
+        self._half_merged = False
 
     # -- incremental path ----------------------------------------------------
 
@@ -373,47 +448,84 @@ class ModelSession:
             with _span("incremental-update"):
                 return self._update_incremental(sources, names)
         except Exception:  # noqa: BLE001 - safety valve
+            pass
+        try:
             # Cold rebuild; if the *sources* are broken this raises the
             # same error a fresh load would.
             self._load_cold(list(texts), list(filenames or []))
-            return ModelUpdate(
-                changed_sources=tuple(names[1:]
-                                      if self.include_stdlib else names),
-                full_rebuild=True)
+        except Exception:
+            if self._half_merged:
+                # the failed update had already merged into the live
+                # model: put the last good revision back, so the next
+                # update diffs against what the session really holds
+                self._load_cold(*self._revision())
+            raise
+        return ModelUpdate(
+            changed_sources=tuple(names[1:]
+                                  if self.include_stdlib else names),
+            full_rebuild=True)
+
+    def _revision(self) -> tuple[list[str], list[str]]:
+        """The texts and filenames of the revision the session holds,
+        without the implicit standard library."""
+        skip = 1 if self.include_stdlib else 0
+        return self._sources[skip:], self._names[skip:]
 
     def _update_incremental(self, sources: list[str],
                             names: list[str]) -> ModelUpdate:
-        new_fps = [fingerprint(text, salt=_SOURCE_SALT) for text in sources]
+        # an unchanged text keeps its hash: comparing is far cheaper
+        # than hashing every source of a large model on each edit
+        old_texts = self._sources
+        new_fps = [self._source_fps[index]
+                   if index < len(old_texts) and text == old_texts[index]
+                   else fingerprint(text, salt=_SOURCE_SALT)
+                   for index, text in enumerate(sources)]
         changed = [index for index in range(len(sources))
                    if index >= len(self._source_fps)
                    or new_fps[index] != self._source_fps[index]]
+        changed_names = tuple(names[index] for index in changed
+                              if index < len(names))
+        # a text that changed only in comments or layout lexes to the
+        # same tokens, so it parses to the same tree up to source
+        # locations, which the merge never copies onto kept elements:
+        # skip its parse, build and merge
+        reparse = [index for index in changed
+                   if index >= len(old_texts)
+                   or not _same_tokens(old_texts[index], sources[index])]
         removed_slices = len(self._source_fps) > len(sources)
-        if not changed and not removed_slices:
+        if not reparse and not removed_slices:
             # filenames feed the model fingerprint even when no text
             # changed, so recompute it regardless
             self.model.content_fingerprint = model_fingerprint(
                 sources, names, include_stdlib=self.include_stdlib)
             self._set_sources(sources, names, new_fps)
-            return ModelUpdate()
+            return ModelUpdate(changed_sources=changed_names)
 
-        changed_names = tuple(names[index] for index in changed
-                              if index < len(names))
-        trees = self._parse_changed(sources, names, changed)
+        trees = self._parse_changed(sources, names, reparse)
+        self._half_merged = True
         merger = _Merger()
-        self._merge_root(trees, changed, len(sources), merger)
+        self._merge_root(trees, reparse, len(sources), merger)
+        # read what the merge left stale before anything re-caches it
+        stale = stale_elements(merger.changed + merger.rekeyed)
+        index = self.index
+        previous, touched = index.refresh(self.model, stale,
+                                          merger.freed_keys())
+        deep_changed, scope_changed = index.changed_since(previous, touched)
+        # a shared key's entry shows only its last holder, so an edit of
+        # another holder is invisible in the diff: count it as changed
+        masked = (index.shared | previous.shared) & touched
+        deep_changed = deep_changed | masked | merger.taken_anchors()
+        scope_changed = scope_changed | masked
+        removed = frozenset(key for key in touched
+                            if key in previous.deep and key not in index.deep)
+        self.graph.drop_consumers(removed)
         edited = frozenset(anchor_key(element)
                            for element in merger.changed)
 
-        new_index = NodeIndex.of_model(self.model)
-        deep_changed, scope_changed = new_index.changed_since(self.index)
-        removed = frozenset(key for key in self.index.deep
-                            if key not in new_index.deep)
-        self.graph.drop_consumers(removed)
-
-        dirty_now = self._present_anchors(deep_changed, new_index) \
+        dirty_now = self._present_anchors(deep_changed, index) \
             | self._present_anchors(
                 self.graph.consumers_affected(deep_changed, scope_changed),
-                new_index)
+                index)
 
         all_dirty: set[NodeKey] = set()
         semantic: set[NodeKey] = set()
@@ -441,13 +553,12 @@ class ModelSession:
             semantic |= deep2
             dirty_now = self._present_anchors(
                 self.graph.consumers_affected(deep2, scope2),
-                new_index) - all_dirty
+                index) - all_dirty
 
-        self.index = new_index
-        self.model.node_index = new_index
         self.model.content_fingerprint = model_fingerprint(
             sources, names, include_stdlib=self.include_stdlib)
         self._set_sources(sources, names, new_fps)
+        self._half_merged = False
         # `merger` stays referenced to here, keeping dropped subtrees
         # alive while the fixpoint compared object identities above.
         assert merger.dropped is not None
@@ -456,7 +567,8 @@ class ModelSession:
                            removed_anchors=removed,
                            edited_anchors=edited,
                            semantic_anchors=frozenset(semantic),
-                           reresolved_elements=reresolved, rounds=rounds)
+                           reresolved_elements=reresolved,
+                           reindexed_elements=len(stale), rounds=rounds)
 
     @staticmethod
     def _present_anchors(keys: set[NodeKey], index: NodeIndex
@@ -512,7 +624,7 @@ class ModelSession:
                 if element.owner is not self.model:
                     element.owner = self.model
                 if _match_key(element) is None:
-                    _clear_keys_deep(element)
+                    merger.clear_keys(element)
             self.model.owned_elements = merged_root
         self._slice_counts = counts
 

@@ -13,8 +13,10 @@ Each oracle states one differential property:
 * ``serve``        — the configuration service returns exactly the bytes
   a direct pipeline run produces;
 * ``incremental``  — the incremental engine's output is byte-identical
-  to a cold pipeline run, and no-op / comment-only edits reuse every
-  artifact;
+  to a cold pipeline run, no-op / comment-only edits reuse every
+  artifact, the same sources in another order come out as a cold run
+  would, and after every edit the session's refreshed node index
+  equals one built cold from the same sources;
 * ``grouping``     — client grouping is a partition (every machine
   assigned exactly once), respects capacity, and is deterministic.
 * ``sim``          — scenario-engine briefings for one seed are
@@ -258,13 +260,62 @@ def _check_incremental(ctx: TrialContext) -> None:
 
     # and the engine's output for the edited text must byte-match what
     # a cold pipeline run over that same text produces
+    touched_model = load_model(*touched)
+    _check_refreshed_index(engine, touched_model, "comment-only edit")
     cold_touched = _comparable_bundle(
-        GenerationPipeline(options).run_on_model(load_model(*touched)),
-        options)
+        GenerationPipeline(options).run_on_model(touched_model), options)
     if _comparable_bundle(touched_result, options) != cold_touched:
         raise OracleFailure(
             "incremental output for edited sources differs from a cold "
             "run over the same sources")
+
+    # a source that adds a package, then takes it away again: the
+    # index refresh must follow the added and the dropped subtree
+    probe = touched + [_PROBE_SOURCE]
+    for label, revision in (("added package", probe),
+                            ("removed package", touched)):
+        result = engine.generate(*revision)
+        if _comparable_bundle(result, options) != cold_touched:
+            raise OracleFailure(
+                f"{label}: engine output changed although no machine did")
+        _check_refreshed_index(engine, load_model(*revision), label)
+
+    # the same sources in reverse order: every element moves to another
+    # file, so the session must take and resolve new objects whose keys
+    # and fingerprints equal those of the ones it drops
+    reordered = touched[::-1]
+    reordered_model = load_model(*reordered)
+    result = engine.generate(*reordered)
+    cold_reordered = generate_configuration(reordered_model,
+                                            options=options)
+    if _comparable_bundle(result, options) != \
+            _comparable_bundle(cold_reordered, options):
+        raise OracleFailure(
+            "reordered sources: engine output differs from a cold run")
+    _check_refreshed_index(engine, reordered_model, "reordered sources")
+
+
+#: Declares nothing the topology reads; only the index sees it come
+#: and go.
+_PROBE_SOURCE = """
+package ConformanceProbe {
+    part def Probe {
+        attribute level : Integer;
+    }
+    part probe : Probe;
+}
+"""
+
+
+def _check_refreshed_index(engine, cold_model: Model, label: str) -> None:
+    """The engine session's incrementally refreshed node index must
+    equal a whole-model build over the same sources."""
+    from ..sysml.depgraph import NodeIndex
+    live = engine.session.index
+    cold = NodeIndex.of_model(cold_model)
+    if live.deep != cold.deep or live.scope != cold.scope:
+        raise OracleFailure(
+            f"{label}: refreshed node index differs from a cold build")
 
 
 def _check_sharded(ctx: TrialContext) -> None:
@@ -622,7 +673,9 @@ ORACLES: dict[str, Oracle] = {
                _check_serve),
         Oracle("incremental",
                "incremental engine output byte-identical to cold runs; "
-               "no-op and comment-only edits reuse every artifact",
+               "no-op and comment-only edits reuse every artifact; "
+               "reordered sources match a cold run; "
+               "refreshed node index equals a cold build",
                _check_incremental),
         Oracle("grouping",
                "client grouping partitions machines within capacity, "

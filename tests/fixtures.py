@@ -137,3 +137,38 @@ part emcoDriver : EMCO::EMCODriver {
 
 EMCO_WORKCELL_SOURCE = (ISA95_BASE_SOURCE + EMCO_LIBRARY_SOURCE
                         + EMCO_INSTANCE_SOURCE)
+
+
+def raw_post(port: int, content_length: str, body: bytes = b"",
+             timeout: float = 5.0) -> tuple[int, bytes]:
+    """POST /v1/generate over a bare socket with a hand-written
+    ``Content-Length`` header; returns ``(status, response body)``.
+
+    The socket timeout bounds the wait, so a server that blocks on the
+    declared length fails the test instead of hanging it.
+    """
+    import socket
+
+    request = (f"POST /v1/generate HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+               f"Content-Type: text/plain\r\n"
+               f"Content-Length: {content_length}\r\n\r\n").encode() + body
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=timeout) as sock:
+        sock.sendall(request)
+        received = b""
+        while b"\r\n\r\n" not in received:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+        head, _, rest = received.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        status = int(lines[0].split()[1])
+        length = next(int(line.split(":", 1)[1]) for line in lines[1:]
+                      if line.lower().startswith("content-length:"))
+        while len(rest) < length:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            rest += chunk
+    return status, rest[:length]

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from fixtures import EMCO_WORKCELL_SOURCE
+from fixtures import EMCO_WORKCELL_SOURCE, raw_post
 
 from repro.codegen import PipelineOptions
 from repro.faults import FaultPlan, FaultSpec
@@ -287,6 +287,20 @@ class TestHTTPFrontEnd:
         assert status == 400
         delta = snapshot_delta(before, METRICS.snapshot())
         assert "router.forwarded" not in delta
+
+
+    @pytest.mark.parametrize("declared", ["abc", "-1"])
+    def test_invalid_content_length_is_a_400(self, front, declared):
+        server, _router, _ = front
+        before = METRICS.snapshot()
+        status, body = raw_post(server.port, declared, b"part x;")
+        assert status == 400
+        import json
+        assert json.loads(body)["error"]["code"] == "bad-request"
+        assert "router.forwarded" not in snapshot_delta(
+            before, METRICS.snapshot())
+        with ServiceClient(server.port) as client:
+            assert client.generate_raw(SOURCES)[0] == 200
 
 
 class TestAggregation:

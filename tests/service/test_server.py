@@ -13,14 +13,18 @@ import time
 
 import pytest
 
-from fixtures import EMCO_WORKCELL_SOURCE
+from fixtures import EMCO_WORKCELL_SOURCE, raw_post
 
 from repro.codegen import GenerationPipeline, PipelineOptions
 from repro.fingerprint import SERVICE_GENERATE_SALT, fingerprint
 from repro.obs import METRICS, snapshot_delta
 from repro.service import (ConfigurationService, ServiceClient,
                            ServiceError, ServiceHTTPServer, bundle_bytes)
+from repro.service import server as server_module
+from repro.service.router import RouterRequestHandler
+from repro.service.server import ServiceRequestHandler
 from repro.sysml import load_model
+from repro.sysml.errors import SysMLError
 from repro.testkit import wait_until
 
 SOURCES = [EMCO_WORKCELL_SOURCE]
@@ -122,6 +126,16 @@ class TestGenerateEndpoint:
         assert delta["service.pipeline_executions"] == 1
         assert delta["service.requests"] == 2
         assert delta["service.memo_hits"] == 1
+
+    def test_memo_keeps_payloads_compressed(self, serve):
+        server, service = serve()
+        with ServiceClient(port=server.port) as client:
+            _, _, first = client.generate_raw(SOURCES)
+            _, headers, again = client.generate_raw(SOURCES)
+        assert headers["x-repro-singleflight"] == "memo"
+        assert again == first
+        (stored,) = service._memo.values()
+        assert len(stored) * 3 < len(first)
 
     def test_invalid_model_maps_to_400(self, serve):
         server, _ = serve()
@@ -233,6 +247,87 @@ class TestIncrementalServing:
             PipelineOptions(incremental=False)).run_on_model(model)
         assert body == bundle_bytes(direct, model.content_fingerprint,
                                     PipelineOptions(incremental=False))
+
+
+def direct_bytes(sources, options=None):
+    options = options if options is not None else PipelineOptions()
+    model = load_model(*sources)
+    result = GenerationPipeline(options).run_on_model(model)
+    return bundle_bytes(result, model.content_fingerprint, options)
+
+
+def cold_load_error(sources) -> dict:
+    """The error body a request for *sources* got when the service
+    parsed with ``load_model`` before executing."""
+    with pytest.raises(SysMLError) as info:
+        load_model(*sources)
+    return {"error": {"code": "invalid-model", "message": str(info.value),
+                      "retriable": False}}
+
+
+class TestServedEditsParseOnce:
+    EDITED = [EMCO_WORKCELL_SOURCE.replace("10.197.12.11", "10.197.12.77")]
+    #: merges fine, then fails to resolve (the session had merged it in)
+    UNRESOLVED = [EMCO_WORKCELL_SOURCE + "\npart broken : Nowhere9;\n"]
+    #: fails to parse (nothing merged)
+    UNPARSABLE = [EMCO_WORKCELL_SOURCE + "\npackage {\n"]
+
+    def test_incremental_requests_never_call_load_model(self, serve,
+                                                        monkeypatch):
+        calls = []
+
+        def counting_load(*args, **kwargs):
+            calls.append(args)
+            return load_model(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "load_model", counting_load)
+        server, _ = serve()
+        with ServiceClient(port=server.port) as client:
+            cold = client.generate_raw(SOURCES)
+            edit = client.generate_raw(self.EDITED)
+        assert calls == []
+        assert cold[0] == edit[0] == 200
+        assert cold[2] == direct_bytes(SOURCES)
+        assert edit[2] == direct_bytes(self.EDITED)
+
+    @pytest.mark.parametrize("broken", ["UNRESOLVED", "UNPARSABLE"])
+    def test_broken_sources_keep_their_error_and_the_engine_recovers(
+            self, serve, broken):
+        broken = getattr(self, broken)
+        server, _ = serve()
+        with ServiceClient(port=server.port) as client:
+            # with no session yet, then against a warm one
+            for warm in (False, True):
+                if warm:
+                    assert client.generate_raw(SOURCES)[0] == 200
+                status, _, body = client.generate_raw(broken)
+                assert status == 400
+                assert json.loads(body) == cold_load_error(broken)
+            # the next valid edit is served as if the broken one never
+            # happened
+            status, headers, body = client.generate_raw(self.EDITED)
+        assert status == 200
+        assert body == direct_bytes(self.EDITED)
+
+
+class TestRequestBodyValidation:
+    @pytest.mark.parametrize("declared", ["abc", "-1", "1.5", "-0x10"])
+    def test_invalid_content_length_is_a_400(self, serve, declared):
+        server, _ = serve()
+        status, body = raw_post(server.port, declared, b"part x;")
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert error["code"] == "bad-request"
+        assert "Content-Length" in error["message"]
+        # the handler thread is free and the server keeps serving
+        with ServiceClient(port=server.port) as client:
+            assert client.generate_raw(SOURCES)[0] == 200
+
+
+def test_handlers_disable_nagle():
+    """Small replies must not wait ~40 ms on the peer's delayed ACK."""
+    assert ServiceRequestHandler.disable_nagle_algorithm is True
+    assert RouterRequestHandler.disable_nagle_algorithm is True
 
 
 class TestBackpressureOverHTTP:

@@ -10,6 +10,7 @@ edit propagates semantically but stays attributed to the library.
 
 import pytest
 
+from repro.sysml import incremental
 from repro.sysml.depgraph import find_by_path
 from repro.sysml.incremental import ModelSession
 
@@ -60,6 +61,31 @@ class TestCleanUpdates:
         assert update.clean
         # the file did change — only its meaning did not
         assert update.changed_sources == ("plant.sysml",)
+
+
+    def test_comment_and_layout_edit_skips_the_parse(self, monkeypatch):
+        live = session()
+        parsed = []
+        original = incremental._parse_sources
+
+        def counting_parse(sources, names, **kwargs):
+            parsed.extend(names)
+            return original(sources, names, **kwargs)
+
+        monkeypatch.setattr(incremental, "_parse_sources", counting_parse)
+        relaid = "// header\n" + PLANT.replace("    ", "\t") + "/* end */"
+        update = live.update(LIBRARY, relaid, filenames=NAMES)
+        assert update.clean
+        assert update.changed_sources == ("plant.sysml",)
+        assert parsed == []
+
+    def test_doc_comment_edit_is_not_layout(self):
+        documented = LIBRARY.replace(
+            "abstract part def Gadget {",
+            "abstract part def Gadget {\n        doc /* serialized */")
+        update = session().update(documented, PLANT, filenames=NAMES)
+        assert not update.clean
+        assert paths(update.edited_anchors) == ["Lib::Gadget"]
 
 
 class TestLocalEdit:
